@@ -8,9 +8,12 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -110,10 +113,50 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := mon.(dbHolder).Database().ExportCSV(f); err != nil {
+		if err := writeCSV(f, mon.(dbHolder).Database(), req); err != nil {
 			fmt.Fprintln(os.Stderr, "netmon:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("measurement database exported to %s\n", *export)
 	}
+}
+
+// writeCSV writes every retained measurement of the request's paths ×
+// metrics as CSV for offline analysis, ordered by (path, metric, time).
+// Columns: path, metric, value, unit, quality, taken_at_seconds, error.
+func writeCSV(w io.Writer, db *core.Database, req core.Request) error {
+	ids := make([]core.PathID, len(req.Paths))
+	for i, p := range req.Paths {
+		ids[i] = p.ID
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	mets := append([]metrics.Metric(nil), req.Metrics...)
+	sort.Slice(mets, func(i, j int) bool { return mets[i] < mets[j] })
+
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"path", "metric", "value", "unit", "quality", "taken_at_seconds", "error"}); err != nil {
+		return err
+	}
+	var err error
+	for _, id := range ids {
+		for _, met := range mets {
+			db.EachHistory(id, met, 0, func(m core.Measurement) bool {
+				err = cw.Write([]string{
+					string(m.Path),
+					m.Metric.String(),
+					fmt.Sprintf("%g", m.Value),
+					m.Metric.Unit(),
+					m.Quality.String(),
+					fmt.Sprintf("%.6f", m.TakenAt.Seconds()),
+					m.Err,
+				})
+				return err == nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -206,13 +206,6 @@ type QuantileQuerier interface {
 	QuantileSummary(path PathID, metric metrics.Metric) (sketch.Summary, bool)
 }
 
-// SketchMerger exports a series' quantile sketch by folding it into the
-// caller's accumulator — the primitive hierarchical directors federate
-// on. Implementations must not mutate their own sketch.
-type SketchMerger interface {
-	MergeSketchInto(dst *sketch.Sketch, path PathID, metric metrics.Metric) bool
-}
-
 // ComposeSegments folds per-segment measurements into a path-level value:
 // throughput is the bottleneck minimum, latency the sum, reachability the
 // conjunction. Any failed segment fails the path.

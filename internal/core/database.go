@@ -117,9 +117,6 @@ func (db *Database) EnableSketches(t sketch.Thresholds) {
 	db.sketchTh = t
 }
 
-// SketchesEnabled reports whether EnableSketches has been called.
-func (db *Database) SketchesEnabled() bool { return db.sketchOn }
-
 // BatchSink receives closed sample batches from the durable results seam.
 // *results.Writer satisfies it; the indirection keeps the sim-facing core
 // free of any dependency on the results encoding. Everything passed is
@@ -348,24 +345,6 @@ func (db *Database) Senescence(now time.Duration, path PathID, metric metrics.Me
 		return 0, false
 	}
 	return now - s.current.TakenAt, true
-}
-
-// CurrentWithAge returns the latest sample for the series together with its
-// age at virtual time now — the Query variant a senescence-aware resource
-// manager uses before trusting the value.
-func (db *Database) CurrentWithAge(now time.Duration, path PathID, metric metrics.Metric) (Measurement, time.Duration, bool) {
-	s := db.series[dbKey{path, metric}]
-	if s == nil {
-		return Measurement{}, 0, false
-	}
-	return s.current, now - s.current.TakenAt, true
-}
-
-// Stale reports whether the series has been marked stale by MarkStale and
-// not refreshed by a Record since.
-func (db *Database) Stale(path PathID, metric metrics.Metric) bool {
-	s := db.series[dbKey{path, metric}]
-	return s != nil && s.stale
 }
 
 // Fresh returns the current sample only when it is trustworthy at virtual

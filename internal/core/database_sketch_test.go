@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/metrics"
@@ -175,95 +174,6 @@ func TestDatabaseMergeSketchInto(t *testing.T) {
 	if sum.Count != 300 {
 		t.Errorf("database sketch count = %d after export, want 300", sum.Count)
 	}
-}
-
-// TestAggregateSketchShardInvariant: the federated roll-up is bit-identical
-// no matter how paths are partitioned across members — the merge order is
-// fixed by sorted path ID, not by member.
-func TestAggregateSketchShardInvariant(t *testing.T) {
-	paths := []PathID{"pD", "pA", "pC", "pB"}
-	values := map[PathID][]float64{}
-	rng := rand.New(rand.NewSource(23))
-	for _, p := range paths {
-		for i := 0; i < 150; i++ {
-			values[p] = append(values[p], 5+rng.Float64()*100)
-		}
-	}
-	// build constructs a ShardedMonitor over n members with paths dealt
-	// round-robin, feeds each path's values to its owner, and aggregates.
-	build := func(n int) sketch.Sketch {
-		members := make([]Monitor, n)
-		bases := make([]*recordingMonitor, n)
-		for i := range members {
-			m := newRecordingMonitor()
-			bases[i] = m
-			members[i] = m
-		}
-		owner := func(p Path) int {
-			for i, id := range paths {
-				if p.ID == id {
-					return i % n
-				}
-			}
-			return 0
-		}
-		sm := NewShardedMonitor(owner, members...)
-		var req Request
-		for _, id := range paths {
-			req.Paths = append(req.Paths, Path{ID: id})
-		}
-		req.Metrics = []metrics.Metric{metrics.OneWayLatency}
-		sm.Submit(req)
-		for i, id := range paths {
-			b := bases[i%n]
-			for _, v := range values[id] {
-				b.DB.Record(Measurement{Path: id, Metric: metrics.OneWayLatency, Value: v})
-			}
-		}
-		agg, ok := sm.AggregateSketch(metrics.OneWayLatency, paths)
-		if !ok {
-			t.Fatal("AggregateSketch found no sketches")
-		}
-		return agg
-	}
-	ref := build(1)
-	for _, n := range []int{2, 3, 4} {
-		if got := build(n); got != ref {
-			t.Errorf("AggregateSketch differs between 1 and %d members", n)
-		}
-	}
-	// Sanity: the aggregate covers every observation.
-	var total int
-	for _, vs := range values {
-		total += len(vs)
-	}
-	if ref.Count() != uint64(total) {
-		t.Errorf("aggregate count = %d, want %d", ref.Count(), total)
-	}
-	// And matches the exact quantiles of the pooled values within bounds.
-	var pooled []float64
-	ids := append([]PathID(nil), paths...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		pooled = append(pooled, values[id]...)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if e := relErr(ref.Quantile(q), sketch.Exact(pooled, q)); e > 0.04 {
-			t.Errorf("aggregate Quantile(%v): rel err %.4f > 4%%", q, e)
-		}
-	}
-}
-
-// recordingMonitor is a minimal Monitor around DirectorBase for federation
-// tests that feed the database directly.
-type recordingMonitor struct {
-	DirectorBase
-}
-
-func newRecordingMonitor() *recordingMonitor {
-	m := &recordingMonitor{DirectorBase: DirectorBase{DB: NewDatabase()}}
-	m.DB.EnableSketches(sketch.Thresholds{})
-	return m
 }
 
 func relErr(got, want float64) float64 {

@@ -24,10 +24,7 @@ type DirectorBase struct {
 	Published uint64
 }
 
-var (
-	_ QuantileQuerier = (*DirectorBase)(nil)
-	_ SketchMerger    = (*DirectorBase)(nil)
-)
+var _ QuantileQuerier = (*DirectorBase)(nil)
 
 // NewDirectorBase wires a director with a fresh database and report queue.
 func NewDirectorBase(k *sim.Kernel) DirectorBase {
@@ -104,9 +101,4 @@ func (d *DirectorBase) Quantile(path PathID, metric metrics.Metric, p float64) (
 // database's per-series sketch.
 func (d *DirectorBase) QuantileSummary(path PathID, metric metrics.Metric) (sketch.Summary, bool) {
 	return d.DB.SketchSummary(path, metric)
-}
-
-// MergeSketchInto implements SketchMerger by delegating to the database.
-func (d *DirectorBase) MergeSketchInto(dst *sketch.Sketch, path PathID, metric metrics.Metric) bool {
-	return d.DB.MergeSketchInto(dst, path, metric)
 }

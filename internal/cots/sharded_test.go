@@ -12,11 +12,12 @@ import (
 )
 
 // wireShardedCots builds R regions on the group, gives each region its own
-// director (on its mgmt host) sharing one agent registry, and federates
-// them behind a ShardedMonitor keyed by the path's origin region.
-func wireShardedCots(g *sim.ShardGroup, regions int) (*topo.ShardedScaled, *core.ShardedMonitor, *AgentRegistry, []*Monitor) {
-	s := topo.BuildShardedScaled(g, 3, regions, 1, 1)
-	reg := NewAgentRegistry()
+// director (on its mgmt host) sharing one agent registry, and submits each
+// director the paths originating in its region. owner maps a path to the
+// director collecting it.
+func wireShardedCots(g *sim.ShardGroup, regions int) (s *topo.ShardedScaled, owner func(core.Path) *Monitor, reg *AgentRegistry) {
+	s = topo.BuildShardedScaled(g, 3, regions, 1, 1)
+	reg = NewAgentRegistry()
 	nodeByName := make(map[netsim.Addr]*netsim.Node)
 	regionOf := make(map[netsim.Addr]int)
 	for i, r := range s.Regions {
@@ -26,47 +27,43 @@ func wireShardedCots(g *sim.ShardGroup, regions int) (*topo.ShardedScaled, *core
 		}
 	}
 	dirs := make([]*Monitor, regions)
-	members := make([]core.Monitor, regions)
 	for i, r := range s.Regions {
-		m := New(r.Mgmt, "public", time.Second)
-		m.UseRegistry(reg)
-		dirs[i] = m
-		members[i] = m
+		dirs[i] = New(r.Mgmt, "public", time.Second)
+		dirs[i].UseRegistry(reg)
 	}
-	paths := s.CrossRegionPaths()
+	owner = func(p core.Path) *Monitor { return dirs[regionOf[p.Hops[0].Host]] }
+	owned := make(map[*Monitor][]core.Path)
 	// Foreign endpoints (the next region's clients) need explicit
 	// deployment: the owning director cannot resolve them by name.
-	for _, p := range paths {
-		owner := regionOf[p.Hops[0].Host]
+	for _, p := range s.CrossRegionPaths() {
+		m := owner(p)
+		owned[m] = append(owned[m], p)
 		for _, hop := range p.Hops {
-			dirs[owner].EnsureAgentOn(nodeByName[hop.Host])
+			m.EnsureAgentOn(nodeByName[hop.Host])
 		}
 	}
-	sm := core.NewShardedMonitor(func(p core.Path) int {
-		return regionOf[p.Hops[0].Host]
-	}, members...)
-	sm.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
 	for _, m := range dirs {
+		m.Submit(core.Request{Paths: owned[m], Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
 		m.Start()
 	}
-	return s, sm, reg, dirs
+	return s, owner, reg
 }
 
 // TestShardedCotsCrossRegionPolling: per-region directors poll foreign
-// agents across WAN (and shard) boundaries, and the meta-director answers
-// for every path.
+// agents across WAN (and shard) boundaries, and each path's owner answers
+// for it.
 func TestShardedCotsCrossRegionPolling(t *testing.T) {
 	g := sim.NewShardGroup(2, topo.WANPropDelay)
 	defer g.Close()
-	s, sm, reg, _ := wireShardedCots(g, 3)
+	s, owner, reg := wireShardedCots(g, 3)
 	g.Shard(0).RunUntil(10 * time.Second)
 
 	for _, p := range s.CrossRegionPaths() {
-		reach, ok := sm.Query(p.ID, metrics.Reachability)
+		reach, ok := owner(p).Query(p.ID, metrics.Reachability)
 		if !ok || !reach.Reached() {
 			t.Fatalf("path %s reachability: %v %v", p.ID, reach, ok)
 		}
-		lat, ok := sm.Query(p.ID, metrics.OneWayLatency)
+		lat, ok := owner(p).Query(p.ID, metrics.OneWayLatency)
 		if !ok || !lat.OK() || lat.Value <= 0 {
 			t.Fatalf("path %s latency: %v %v", p.ID, lat, ok)
 		}
@@ -117,11 +114,11 @@ func TestShardedCotsDeterministicAcrossShardCounts(t *testing.T) {
 	collect := func(shards int) []string {
 		g := sim.NewShardGroup(shards, topo.WANPropDelay)
 		defer g.Close()
-		s, sm, _, _ := wireShardedCots(g, 3)
+		s, owner, _ := wireShardedCots(g, 3)
 		g.Shard(0).RunUntil(10 * time.Second)
 		var out []string
 		for _, p := range s.CrossRegionPaths() {
-			m, _ := sm.Query(p.ID, metrics.OneWayLatency)
+			m, _ := owner(p).Query(p.ID, metrics.OneWayLatency)
 			out = append(out, m.String())
 		}
 		return out

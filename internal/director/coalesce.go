@@ -49,9 +49,9 @@ type coalesceKey struct {
 // crun is a pending accumulation run: events of one direction on one key
 // absorbed since the run opened, awaiting the window to expire.
 type crun struct {
-	rising  bool
-	value   float64
-	count   uint64
+	rising   bool
+	value    float64
+	count    uint64
 	openedAt time.Duration
 }
 

@@ -210,7 +210,6 @@ var (
 	_ core.Monitor         = (*Director)(nil)
 	_ core.FreshQuerier    = (*Director)(nil)
 	_ core.QuantileQuerier = (*Director)(nil)
-	_ core.SketchMerger    = (*Director)(nil)
 )
 
 // New builds an interior (or root) director on host.
@@ -238,6 +237,11 @@ func build(host *netsim.Node, name string, member Member, cfg Config) *Director 
 		co:           NewCoalescer(cfg.CoalesceWindow),
 		backoff:      resilience.NewBackoff(nil, cfg.Reexport, cfg.MaxReexport, 0),
 	}
+	if member != nil {
+		// A leaf re-exports from and answers queries out of its member's
+		// database; only interior directors keep one of their own.
+		d.DB = member.Database()
+	}
 	return d
 }
 
@@ -249,12 +253,6 @@ func (d *Director) AddChild(c *Director) {
 	d.childDead = append(d.childDead, false)
 	d.childSketch = append(d.childSketch, nil)
 }
-
-// Children returns the direct children in attachment order.
-func (d *Director) Children() []*Director { return d.children }
-
-// Member returns the leaf's concrete monitor (nil on interior directors).
-func (d *Director) Member() Member { return d.member }
 
 // Leaves returns the leaf directors of d's subtree in tree order.
 func (d *Director) Leaves() []*Director {
@@ -453,11 +451,10 @@ func (d *Director) reexportLoop(p *sim.Proc) {
 }
 
 func (d *Director) reexport(now time.Duration) {
-	db := d.localDB()
 	b := batch{from: d, at: now}
 	for _, path := range d.assigned {
 		for _, met := range d.metricsL {
-			if m, ok := db.Current(path.ID, met); ok {
+			if m, ok := d.DB.Current(path.ID, met); ok {
 				b.meas = append(b.meas, m)
 			}
 		}
@@ -466,7 +463,7 @@ func (d *Director) reexport(now time.Duration) {
 		agg := &sketch.Sketch{}
 		merged := false
 		for _, path := range d.assigned {
-			merged = db.MergeSketchInto(agg, path.ID, met) || merged
+			merged = d.DB.MergeSketchInto(agg, path.ID, met) || merged
 		}
 		if merged {
 			b.sks = append(b.sks, regionSketch{metric: met, sk: agg})
@@ -503,15 +500,6 @@ func (d *Director) recordReexport(b *batch) {
 		// Sink errors are sticky in the writer; re-export must never fail.
 		_ = d.resSink.WriteBatch("reexport/"+d.Name, met.String(), met.Unit(), int64(b.at), vals)
 	}
-}
-
-// localDB is the database the director re-exports from and answers
-// queries out of: the member's on a leaf, its own when interior.
-func (d *Director) localDB() *core.Database {
-	if d.member != nil {
-		return d.member.Database()
-	}
-	return d.DB
 }
 
 // offerBatch receives a child's re-export into the bounded record queue,
@@ -707,24 +695,6 @@ func (d *Director) reclaim(c *Director, now time.Duration) {
 	d.Events = append(d.Events, fmt.Sprintf("%v reclaim %s (%d paths)", now, c.Name, len(c.home)))
 }
 
-// Query answers current-value reporting from the local database (Monitor
-// interface): the member's on a leaf, the aggregated one when interior.
-func (d *Director) Query(path core.PathID, metric metrics.Metric) (core.Measurement, bool) {
-	return d.localDB().Current(path, metric)
-}
-
-// LastKnown answers last-known-value reporting from the local database.
-func (d *Director) LastKnown(path core.PathID, metric metrics.Metric) (core.Measurement, bool) {
-	return d.localDB().LastKnown(path, metric)
-}
-
-// QueryFresh answers senescence-gated reporting from the local database
-// (FreshQuerier): upstream silence surfaces as staleness, never as a
-// fresh-looking stale value.
-func (d *Director) QueryFresh(path core.PathID, metric metrics.Metric, now, ttl time.Duration) (core.Measurement, bool) {
-	return d.localDB().Fresh(now, path, metric, ttl)
-}
-
 // leafFor resolves the leaf currently owning path by scanning assignments
 // — always current across adoptions, and cheap at query rates.
 func (d *Director) leafFor(path core.PathID) *Director {
@@ -742,7 +712,7 @@ func (d *Director) leafFor(path core.PathID) *Director {
 // database, where the full-resolution per-path sketch lives.
 func (d *Director) Quantile(path core.PathID, metric metrics.Metric, p float64) (float64, bool) {
 	if l := d.leafFor(path); l != nil {
-		return l.member.Database().Quantile(path, metric, p)
+		return l.DB.Quantile(path, metric, p)
 	}
 	return 0, false
 }
@@ -750,16 +720,15 @@ func (d *Director) Quantile(path core.PathID, metric metrics.Metric, p float64) 
 // QuantileSummary delegates to the owning leaf's member database.
 func (d *Director) QuantileSummary(path core.PathID, metric metrics.Metric) (sketch.Summary, bool) {
 	if l := d.leafFor(path); l != nil {
-		return l.member.Database().SketchSummary(path, metric)
+		return l.DB.SketchSummary(path, metric)
 	}
 	return sketch.Summary{}, false
 }
 
-// MergeSketchInto delegates to the owning leaf's member database
-// (SketchMerger).
+// MergeSketchInto folds the owning leaf's per-path sketch into dst.
 func (d *Director) MergeSketchInto(dst *sketch.Sketch, path core.PathID, metric metrics.Metric) bool {
 	if l := d.leafFor(path); l != nil {
-		return l.member.Database().MergeSketchInto(dst, path, metric)
+		return l.DB.MergeSketchInto(dst, path, metric)
 	}
 	return false
 }
@@ -783,9 +752,8 @@ func (d *Director) AggregateSketch(metric metrics.Metric) (sketch.Sketch, bool) 
 	var agg sketch.Sketch
 	any := false
 	if d.member != nil {
-		db := d.member.Database()
 		for _, p := range d.assigned {
-			any = db.MergeSketchInto(&agg, p.ID, metric) || any
+			any = d.DB.MergeSketchInto(&agg, p.ID, metric) || any
 		}
 		return agg, any
 	}

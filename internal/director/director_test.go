@@ -228,6 +228,25 @@ func TestRootServesFreshQueriesFromLeafData(t *testing.T) {
 	if len(leaves[0].Assigned()) != 1 || len(leaves[1].Assigned()) != 1 {
 		t.Fatalf("sharding wrong: %d/%d", len(leaves[0].Assigned()), len(leaves[1].Assigned()))
 	}
+	// A leaf serves reads straight out of its member's database.
+	for _, l := range leaves {
+		db := l.Database()
+		if db != l.member.Database() {
+			t.Fatalf("%s: Database() is not its member's", l.Name)
+		}
+		for _, path := range l.Assigned() {
+			fresh, fok := l.QueryFresh(path.ID, metrics.Reachability, k.Now(), 2*time.Second)
+			want, wok := db.Fresh(k.Now(), path.ID, metrics.Reachability, 2*time.Second)
+			if !fok || fok != wok || fresh != want {
+				t.Fatalf("%s QueryFresh(%s) = %v %v, database has %v %v", l.Name, path.ID, fresh, fok, want, wok)
+			}
+			last, lok := l.LastKnown(path.ID, metrics.Reachability)
+			want, wok = db.LastKnown(path.ID, metrics.Reachability)
+			if !lok || lok != wok || last != want {
+				t.Fatalf("%s LastKnown(%s) = %v %v, database has %v %v", l.Name, path.ID, last, lok, want, wok)
+			}
+		}
+	}
 	for _, path := range paths {
 		m, ok := root.QueryFresh(path.ID, metrics.Reachability, k.Now(), 2*time.Second)
 		if !ok {
@@ -309,7 +328,7 @@ func TestStalenessSurfacedNotMasked(t *testing.T) {
 	defer k.Close()
 	cfg := Config{
 		Reexport: 250 * time.Millisecond, TTL: time.Second,
-		AdoptAfter: time.Hour, // no adoption: pure staleness exposure
+		AdoptAfter:    time.Hour, // no adoption: pure staleness exposure
 		WatchdogEvery: 100 * time.Millisecond,
 	}
 	h, _, root, leaves, paths := buildCotsTree(k, cfg)

@@ -27,8 +27,8 @@ import (
 func FuzzTrapCoalesce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x20, 0x10, 0x10, 0x10, 0x00, 0x90, 0x10})
-	f.Add([]byte{0x00, 0x11, 0x01, 0x11, 0x01})                  // zero window, alternating
-	f.Add([]byte{0xff, 0x55, 0xaa, 0x55, 0xaa, 0x80, 0x55})     // wide window, two streams
+	f.Add([]byte{0x00, 0x11, 0x01, 0x11, 0x01})                   // zero window, alternating
+	f.Add([]byte{0xff, 0x55, 0xaa, 0x55, 0xaa, 0x80, 0x55})       // wide window, two streams
 	f.Add([]byte{0x40, 0x10, 0x30, 0x50, 0x70, 0x90, 0xb0, 0xd0}) // sweep sources/paths
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -16,8 +16,9 @@ import (
 
 // E14 exercises the sharded kernel at increasing shard counts on a fixed
 // monitored system: R regions joined by a full WAN mesh, one COTS director
-// per region federated behind a ShardedMonitor, cross-region paths only,
-// and a mid-run host failure whose detection latency is the fidelity probe.
+// per region collecting the paths that originate there (wireRegions),
+// cross-region paths only, and a mid-run host failure whose detection
+// latency is the fidelity probe, read from the victim path's owner.
 //
 // The region count — not the shard count — fixes the workload, so every row
 // simulates the same system: event totals and detection latency must agree
@@ -58,6 +59,59 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 	defer g.Close()
 	s := topo.BuildShardedScaled(g, 14, regions, serversPer, clientsPer)
 
+	w := wireRegions(s, time.Second, nil)
+
+	// Fail region 2's first client mid-run, scheduled on its own shard.
+	victim := s.Regions[1].Clients[0]
+	s.Regions[1].Net.K.At(e14FailAt, func() { victim.SetUp(false) })
+
+	window := pick(quick, 12*time.Second, 20*time.Second)
+	events := g.Shard(0).RunUntil(window)
+
+	// Detection latency: first reachability=0 sample after the failure on a
+	// path terminating at the victim, read from its owner's database.
+	detect := time.Duration(0)
+	for _, p := range w.paths {
+		if p.Hops[len(p.Hops)-1].Host != victim.Name {
+			continue
+		}
+		w.owner(p).Database().EachHistory(p.ID, metrics.Reachability, 0, func(m core.Measurement) bool {
+			if m.TakenAt > e14FailAt && !m.Reached() && detect == 0 {
+				detect = m.TakenAt - e14FailAt
+			}
+			return true
+		})
+		break
+	}
+	detectCell := "not detected"
+	if detect > 0 {
+		detectCell = fmt.Sprintf("%v", detect)
+	}
+	return []any{sc, regions, w.reg.Size(), len(w.paths), s.CutEdges(),
+		events, g.CrossShardMessages(), g.Windows(), detectCell}
+}
+
+// regionWiring is the per-region COTS monitoring E14 and E15 share: one
+// director per region on its mgmt host, all sharing one agent registry,
+// each collecting the cross-region paths that originate in its region.
+type regionWiring struct {
+	reg      *cots.AgentRegistry
+	dirs     []*cots.Monitor
+	paths    []core.Path
+	regionOf map[netsim.Addr]int
+}
+
+// owner returns the director collecting p: the one in p's origin region.
+func (w *regionWiring) owner(p core.Path) *cots.Monitor {
+	return w.dirs[w.regionOf[p.Hops[0].Host]]
+}
+
+// wireRegions gives every region a drifting clock and a COTS director
+// polling every poll, deploys the agents each director's paths touch
+// (foreign endpoints included, since only the wiring holds their nodes),
+// submits each director its owned paths and starts it. configure, when
+// set, runs on each director before any agent is deployed.
+func wireRegions(s *topo.ShardedScaled, poll time.Duration, configure func(*cots.Monitor)) *regionWiring {
 	// Per-region drifting clocks, seeded by region index so the clock map
 	// is a pure function of the topology, not the partitioning.
 	for i, r := range s.Regions {
@@ -69,70 +123,40 @@ func e14Row(sc, regions, serversPer, clientsPer int, quick bool) []any {
 			n.LocalClock = clk
 		}
 	}
-
-	// One director per region on its mgmt host, sharing an agent registry,
-	// federated by origin region.
-	reg := cots.NewAgentRegistry()
+	w := &regionWiring{
+		reg:      cots.NewAgentRegistry(),
+		dirs:     make([]*cots.Monitor, len(s.Regions)),
+		paths:    s.CrossRegionPaths(),
+		regionOf: make(map[netsim.Addr]int),
+	}
 	nodeByName := make(map[netsim.Addr]*netsim.Node)
-	regionOf := make(map[netsim.Addr]int)
 	for i, r := range s.Regions {
 		for _, n := range r.Net.Nodes() {
 			nodeByName[n.Name] = n
-			regionOf[n.Name] = i
+			w.regionOf[n.Name] = i
 		}
 	}
-	dirs := make([]*cots.Monitor, regions)
-	members := make([]core.Monitor, regions)
 	for i, r := range s.Regions {
-		m := cots.New(r.Mgmt, "public", time.Second)
-		m.UseRegistry(reg)
-		dirs[i] = m
-		members[i] = m
+		m := cots.New(r.Mgmt, "public", poll)
+		m.UseRegistry(w.reg)
+		if configure != nil {
+			configure(m)
+		}
+		w.dirs[i] = m
 	}
-	paths := s.CrossRegionPaths()
-	for _, p := range paths {
-		owner := regionOf[p.Hops[0].Host]
+	owned := make([][]core.Path, len(w.dirs))
+	for _, p := range w.paths {
+		i := w.regionOf[p.Hops[0].Host]
+		owned[i] = append(owned[i], p)
 		for _, hop := range p.Hops {
-			dirs[owner].EnsureAgentOn(nodeByName[hop.Host])
+			w.dirs[i].EnsureAgentOn(nodeByName[hop.Host])
 		}
 	}
-	sm := core.NewShardedMonitor(func(p core.Path) int {
-		return regionOf[p.Hops[0].Host]
-	}, members...)
-	sm.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
-	for _, m := range dirs {
+	for i, m := range w.dirs {
+		m.Submit(core.Request{Paths: owned[i], Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
+	}
+	for _, m := range w.dirs {
 		m.Start()
 	}
-
-	// Fail region 2's first client mid-run, scheduled on its own shard.
-	victim := s.Regions[1].Clients[0]
-	s.Regions[1].Net.K.At(e14FailAt, func() { victim.SetUp(false) })
-
-	window := pick(quick, 12*time.Second, 20*time.Second)
-	events := g.Shard(0).RunUntil(window)
-
-	// Detection latency: first reachability=0 sample after the failure on a
-	// path terminating at the victim.
-	var victimPath core.Path
-	for _, p := range paths {
-		if p.Hops[len(p.Hops)-1].Host == victim.Name {
-			victimPath = p
-			break
-		}
-	}
-	detect := time.Duration(0)
-	if i, ok := sm.Owner(victimPath.ID); ok {
-		dirs[i].Database().EachHistory(victimPath.ID, metrics.Reachability, 0, func(m core.Measurement) bool {
-			if m.TakenAt > e14FailAt && !m.Reached() && detect == 0 {
-				detect = m.TakenAt - e14FailAt
-			}
-			return true
-		})
-	}
-	detectCell := "not detected"
-	if detect > 0 {
-		detectCell = fmt.Sprintf("%v", detect)
-	}
-	return []any{sc, regions, reg.Size(), len(paths), s.CutEdges(),
-		events, g.CrossShardMessages(), g.Windows(), detectCell}
+	return w
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/topo"
-	"repro/internal/vclock"
 )
 
 // E15 converts §4's fidelity/senescence trade-off into a measured
@@ -27,10 +26,10 @@ import (
 // incremental sketch, each scored against exact quantiles computed from
 // the full sample history of the same run. Four scenarios exercise every
 // director flavor — hifi, cots, hybrid, and cots under E12-style chaos
-// churn — and a federated sweep merges per-shard sketches through
-// ShardedMonitor.AggregateSketch at increasing shard counts, whose rows
-// must come out identical at any partitioning (merge determinism; see
-// TestE15ShardInvariant).
+// churn — and a federated sweep on E14's per-region wiring merges the
+// owners' per-path sketches (e15MergeSorted) at increasing shard counts,
+// whose rows must come out identical at any partitioning (merge
+// determinism; see TestE15ShardInvariant and TestE15MergeShardInvariant).
 func E15(quick bool) *report.Table {
 	t := &report.Table{
 		ID:    "E15",
@@ -216,34 +215,16 @@ func e15ScenarioRows(quick bool, scenario string) [][]any {
 	return rows
 }
 
-// e15FedRow runs the E14 federated workload on sc shards with sketches
-// enabled on every member, merges the per-path sketches through
-// AggregateSketch, and scores the merged digest against exact quantiles
-// of the pooled full history. Every cell except the estimator label must
-// be independent of sc.
+// e15FedRow runs the E14 per-region workload on sc shards with sketches
+// enabled on every director, merges the per-path sketches in sorted path
+// order, and scores the merged digest against exact quantiles of the
+// pooled full history. Every cell except the estimator label must be
+// independent of sc.
 func e15FedRow(quick bool, sc int) []any {
 	regions := pickN(quick, 4, 8)
 	g := sim.NewShardGroup(sc, topo.WANPropDelay)
 	defer g.Close()
 	s := topo.BuildShardedScaled(g, 15, regions, 1, 2)
-	for i, r := range s.Regions {
-		clk := &vclock.Clock{
-			Offset: time.Duration(i+1) * time.Millisecond,
-			Drift:  float64(i+1) * 20e-6,
-		}
-		for _, n := range append(append([]*netsim.Node{}, r.Servers...), r.Clients...) {
-			n.LocalClock = clk
-		}
-	}
-	reg := cots.NewAgentRegistry()
-	nodeByName := make(map[netsim.Addr]*netsim.Node)
-	regionOf := make(map[netsim.Addr]int)
-	for i, r := range s.Regions {
-		for _, n := range r.Net.Nodes() {
-			nodeByName[n.Name] = n
-			regionOf[n.Name] = i
-		}
-	}
 	// Intra-region cross traffic on each LAN spreads the otherwise
 	// near-constant WAN latencies into overlapping continuous
 	// distributions; it never crosses a region (or shard) boundary, so the
@@ -257,48 +238,21 @@ func e15FedRow(quick bool, sc int) []any {
 			Seed: 400 + int64(i),
 		}).Run()
 	}
-	dirs := make([]*cots.Monitor, regions)
-	members := make([]core.Monitor, regions)
-	for i, r := range s.Regions {
-		m := cots.New(r.Mgmt, "public", 50*time.Millisecond)
-		m.UseRegistry(reg)
+	w := wireRegions(s, 50*time.Millisecond, func(m *cots.Monitor) {
 		m.Database().HistoryDepth = e15Depth
 		m.Database().EnableSketches(sketch.Thresholds{})
-		dirs[i] = m
-		members[i] = m
-	}
-	paths := s.CrossRegionPaths()
-	for _, p := range paths {
-		owner := regionOf[p.Hops[0].Host]
-		for _, hop := range p.Hops {
-			dirs[owner].EnsureAgentOn(nodeByName[hop.Host])
-		}
-	}
-	sm := core.NewShardedMonitor(func(p core.Path) int {
-		return regionOf[p.Hops[0].Host]
-	}, members...)
-	sm.Submit(core.Request{Paths: paths, Metrics: []metrics.Metric{metrics.Reachability, metrics.OneWayLatency}})
-	for _, m := range dirs {
-		m.Start()
-	}
+	})
 	window := pick(quick, 8*time.Second, 16*time.Second)
 	g.Shard(0).RunUntil(window)
 
-	ids := make([]core.PathID, len(paths))
-	for i, p := range paths {
-		ids[i] = p.ID
-	}
-	agg, ok := sm.AggregateSketch(metrics.OneWayLatency, ids)
+	ownerDB := func(p core.Path) *core.Database { return w.owner(p).Database() }
+	agg, ok := e15MergeSorted(w.paths, metrics.OneWayLatency, ownerDB)
 	if !ok {
 		panic("E15 federated run produced no sketches")
 	}
 	var pooled []float64
-	for _, p := range paths {
-		i, ok := sm.Owner(p.ID)
-		if !ok {
-			continue
-		}
-		dirs[i].Database().EachHistory(p.ID, metrics.OneWayLatency, 0, func(m core.Measurement) bool {
+	for _, p := range w.paths {
+		ownerDB(p).EachHistory(p.ID, metrics.OneWayLatency, 0, func(m core.Measurement) bool {
 			if m.OK() {
 				pooled = append(pooled, m.Value)
 			}
@@ -310,8 +264,30 @@ func e15FedRow(quick bool, sc int) []any {
 	for i, p := range []float64{0.5, 0.95, 0.99} {
 		errs[i] = e15Pct(e15QErr(pooled, agg.Quantile(p), p))
 	}
-	return []any{"federated", fmt.Sprintf("merge@%dsh", sc), len(paths),
-		int(agg.Count()) / len(paths), agg.Bytes(), errs[0], errs[1], errs[2]}
+	return []any{"federated", fmt.Sprintf("merge@%dsh", sc), len(w.paths),
+		int(agg.Count()) / len(w.paths), agg.Bytes(), errs[0], errs[1], errs[2]}
+}
+
+// e15MergeSorted merges the per-path sketches for metric into one digest,
+// reading each path from its owner's database (dbOf) in sorted path-ID
+// order, not owner order. Each path's sketch is identical whichever shard
+// collected it, so fixing the merge sequence by path makes the digest
+// bit-identical at any partitioning. A duplicate path merges once; ok is
+// false when no path had a sketch.
+func e15MergeSorted(paths []core.Path, metric metrics.Metric, dbOf func(core.Path) *core.Database) (sketch.Sketch, bool) {
+	sorted := append([]core.Path(nil), paths...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	var agg sketch.Sketch
+	found := false
+	for i, p := range sorted {
+		if i > 0 && p.ID == sorted[i-1].ID {
+			continue // merging twice would double-count
+		}
+		if dbOf(p).MergeSketchInto(&agg, p.ID, metric) {
+			found = true
+		}
+	}
+	return agg, found
 }
 
 // tailOf returns the newest n elements of vs (all of vs when shorter).

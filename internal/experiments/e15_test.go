@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/sketch"
 )
 
 // e15ParsePct turns a "1.23%" cell back into a fraction.
@@ -89,6 +95,73 @@ func TestE15ShardInvariant(t *testing.T) {
 			if got[i] != ref[i] {
 				t.Errorf("shards=%d: cell %d = %v, want %v", sc, i, got[i], ref[i])
 			}
+		}
+	}
+}
+
+// TestE15MergeShardInvariant: the federated roll-up is bit-identical no
+// matter how paths are partitioned across owners or in which order they
+// are listed — e15MergeSorted fixes the merge order by sorted path ID, not
+// by owner or input order. TestE15ShardInvariant cannot see this on its
+// own: its region count, and so its owner set, is the same in every row.
+func TestE15MergeShardInvariant(t *testing.T) {
+	ids := []core.PathID{"pD", "pA", "pC", "pB"}
+	values := map[core.PathID][]float64{}
+	rng := rand.New(rand.NewSource(23))
+	for _, id := range ids {
+		for i := 0; i < 150; i++ { // past BufCap, so merges are lossy and order-sensitive
+			values[id] = append(values[id], 5+rng.Float64()*100)
+		}
+	}
+	// build deals the paths round-robin over n owner databases, feeds each
+	// path's values to its owner, and merges the paths listed in order.
+	build := func(n int, order []int) sketch.Sketch {
+		owner := map[core.PathID]*core.Database{}
+		for i, id := range ids {
+			if i < n {
+				db := core.NewDatabase()
+				db.EnableSketches(sketch.Thresholds{})
+				owner[id] = db
+			} else {
+				owner[id] = owner[ids[i%n]]
+			}
+		}
+		for _, id := range ids {
+			for _, v := range values[id] {
+				owner[id].Record(core.Measurement{Path: id, Metric: metrics.OneWayLatency, Value: v})
+			}
+		}
+		var paths []core.Path
+		for _, i := range order {
+			paths = append(paths, core.Path{ID: ids[i]})
+		}
+		dbOf := func(p core.Path) *core.Database { return owner[p.ID] }
+		agg, ok := e15MergeSorted(paths, metrics.OneWayLatency, dbOf)
+		if !ok {
+			t.Fatal("e15MergeSorted found no sketches")
+		}
+		return agg
+	}
+	ref := build(1, []int{0, 1, 2, 3})
+	for n := 1; n <= 4; n++ {
+		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2, 1}} {
+			if got := build(n, order); got != ref {
+				t.Errorf("%d owners, order %v: merged sketch differs from 1 owner", n, order)
+			}
+		}
+	}
+	// The digest covers every observation once, duplicates included.
+	var pooled []float64
+	for _, vs := range values {
+		pooled = append(pooled, vs...)
+	}
+	if ref.Count() != uint64(len(pooled)) {
+		t.Errorf("merged count = %d, want %d", ref.Count(), len(pooled))
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		exact := sketch.Exact(pooled, q)
+		if e := math.Abs(ref.Quantile(q)-exact) / exact; e > 0.04 {
+			t.Errorf("merged Quantile(%v): rel err %.4f > 4%%", q, e)
 		}
 	}
 }

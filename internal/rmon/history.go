@@ -73,15 +73,6 @@ func (h *History) sample(now time.Duration) {
 // Samples returns the retained buckets, oldest first.
 func (h *History) Samples() []HistorySample { return h.samples }
 
-// Latest returns the most recent bucket; ok is false before the first
-// interval completes.
-func (h *History) Latest() (HistorySample, bool) {
-	if len(h.samples) == 0 {
-		return HistorySample{}, false
-	}
-	return h.samples[len(h.samples)-1], true
-}
-
 // historyControlEntries exposes the historyControlTable (RFC 2819 16.2.1):
 // one row per History describing its sampling regime.
 func (p *Probe) historyControlEntries() []mib.Entry {

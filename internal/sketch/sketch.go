@@ -23,9 +23,9 @@
 //     the marker arrays are walked low-to-high. Two sketches fed the same
 //     values in the same order are bit-identical, and a tree of Merges
 //     evaluated in a fixed order is bit-identical across runs — the
-//     property the sharded kernel's federation relies on (see
-//     core.ShardedMonitor.AggregateSummary, which merges in globally
-//     sorted path order so the result is independent of the shard count).
+//     property sharded federation relies on (experiment E15 merges the
+//     per-path sketches of every region's director in globally sorted
+//     path order, so the result is independent of the shard count).
 //
 //   - Allocation-bounded. The struct is self-contained fixed-size arrays;
 //     Update is //perf:noalloc (verified by the escape-analysis gate) and
